@@ -257,14 +257,16 @@ fn drain_window(
     bound: SimTime,
     deadline: SimTime,
 ) -> u64 {
-    let mut steps = 0;
-    while let Some(t) = queue.peek_time() {
-        if t >= bound || t > deadline {
-            break;
+    // `t < bound && t <= deadline` is one bound: whichever is tighter.
+    let next = |q: &mut EventQueue<Event>| {
+        if bound <= deadline {
+            q.pop_before(bound)
+        } else {
+            q.pop_until(deadline)
         }
-        let Some((now, event)) = queue.pop() else {
-            break;
-        };
+    };
+    let mut steps = 0;
+    while let Some((now, event)) = next(queue) {
         let mut sink = LocalSink {
             site: lp.index,
             queue,
@@ -513,11 +515,7 @@ impl ShardEngine {
                 (Some(g), Some(l)) => g <= l,
             };
             if global_next {
-                let Some(t) = tg else { break };
-                if t > deadline {
-                    break;
-                }
-                let Some((now, event)) = self.global.pop() else {
+                let Some((now, event)) = self.global.pop_until(deadline) else {
                     break;
                 };
                 self.now = now;

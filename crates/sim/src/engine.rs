@@ -173,6 +173,13 @@ impl<M: Model> Engine<M> {
     #[inline]
     pub fn step(&mut self) -> Option<SimTime> {
         let (time, event) = self.sched.queue.pop()?;
+        self.dispatch(time, event);
+        Some(time)
+    }
+
+    /// Advances the clock to a popped event and hands it to the model.
+    #[inline]
+    fn dispatch(&mut self, time: SimTime, event: M::Event) {
         debug_assert!(time >= self.sched.now, "event queue returned past event");
         self.sched.now = time;
         self.steps += 1;
@@ -180,7 +187,6 @@ impl<M: Model> Engine<M> {
             observer(time, &event);
         }
         self.model.handle(time, event, &mut self.sched);
-        Some(time)
     }
 
     /// Drains and dispatches every event with timestamp `<= deadline`,
@@ -191,11 +197,8 @@ impl<M: Model> Engine<M> {
     /// which must not finalize time-weighted statistics mid-window.
     pub fn step_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some(t) = self.sched.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
+        while let Some((time, event)) = self.sched.queue.pop_until(deadline) {
+            self.dispatch(time, event);
             processed += 1;
         }
         processed

@@ -8,8 +8,11 @@
 //!
 //! * [`SimTime`] — the simulation clock value (a validated, totally ordered
 //!   wrapper around `f64`).
-//! * [`EventQueue`] — a stable priority queue of timestamped events: events
-//!   with equal timestamps are delivered in the order they were scheduled.
+//! * [`EventQueue`] — the future-event set, a stable monotone radix heap:
+//!   events with equal timestamps are delivered in the order they were
+//!   scheduled, push and pop cost O(1) amortised while times never go
+//!   below the last popped one (an earlier push takes a cold rebase path),
+//!   and memory is bounded by the pending-event high-water mark.
 //! * [`Engine`] / [`Model`] / [`Scheduler`] — the event loop. A model defines
 //!   an event payload type and a `handle` method; the engine pops events in
 //!   time order and dispatches them, letting the handler schedule more.

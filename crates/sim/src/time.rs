@@ -65,6 +65,16 @@ impl SimTime {
         SimTime(TotalF64(t))
     }
 
+    /// Rebuilds a time from the bits of a value that already passed
+    /// [`SimTime::new`]'s checks, skipping them (the event queue stores
+    /// times as order-preserving keys).
+    #[inline]
+    pub(crate) fn from_valid_bits(bits: u64) -> Self {
+        let t = f64::from_bits(bits);
+        debug_assert!(t.is_finite() && t >= 0.0, "not a valid SimTime: {t}");
+        SimTime(TotalF64(t))
+    }
+
     /// Returns the clock value as a plain `f64` number of time units.
     #[must_use]
     #[inline]

@@ -56,6 +56,148 @@ fn event_queue_is_stable() {
     });
 }
 
+/// Total-order key of a time: unsigned order of the result is
+/// `f64::total_cmp`'s order (so `-0.0` sorts before `0.0`).
+fn total_order_key(t: f64) -> u64 {
+    let bits = t.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// One operation of the differential queue test.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    Push(f64),
+    Pop,
+    Peek,
+    PopUntil(f64),
+    PopBefore(f64),
+    Clear,
+}
+
+/// Times spread over many binades, zeros of both signs included.
+const BINADES: [f64; 10] = [0.0, -0.0, 1e-300, 1e-9, 1e-3, 0.75, 1.0, 3e5, 1e12, 1e300];
+
+/// Draws a random operation sequence against the current reference
+/// contents: equal-timestamp bursts, near-future pushes (the simulator's
+/// pattern), pushes below the last popped time (the rebase path), and
+/// fused pops whose bound is often exactly the next pending time.
+fn random_ops(g: &mut dqa_sim::testkit::Gen, len: usize) -> Vec<QueueOp> {
+    let mut ops = Vec::with_capacity(len);
+    let mut recent = vec![0.0];
+    let mut clock = 0.0f64;
+    while ops.len() < len {
+        let roll = g.f64_in(0.0..1.0);
+        let op = if roll < 0.40 {
+            let t = match g.usize_in(0..5) {
+                0 => clock + g.f64_in(0.0..10.0),
+                1 => g.pick(&recent),
+                2 => g.f64_in(0.0..clock.max(1e-12)),
+                3 => g.pick(&BINADES),
+                _ => g.pick(&BINADES) * g.f64_in(0.5..2.0),
+            };
+            let burst = if g.bool(0.15) { g.usize_in(2..12) } else { 1 };
+            for _ in 1..burst {
+                ops.push(QueueOp::Push(t));
+            }
+            recent.push(t);
+            QueueOp::Push(t)
+        } else if roll < 0.65 {
+            QueueOp::Pop
+        } else if roll < 0.72 {
+            QueueOp::Peek
+        } else if roll < 0.995 {
+            let bound = match g.usize_in(0..3) {
+                0 => g.pick(&recent),
+                1 => clock + g.f64_in(0.0..5.0),
+                _ => g.pick(&BINADES),
+            };
+            clock = clock.max(bound);
+            if g.bool(0.5) {
+                QueueOp::PopUntil(bound)
+            } else {
+                QueueOp::PopBefore(bound)
+            }
+        } else {
+            QueueOp::Clear
+        };
+        ops.push(op);
+    }
+    ops
+}
+
+/// The event queue agrees, operation for operation, with a plain sorted
+/// reference model keyed on `(total-order time bits, insertion seq)`.
+#[test]
+fn event_queue_matches_a_sorted_reference_model() {
+    use std::collections::BTreeMap;
+
+    cases(300, 0xE0_09, |g| {
+        let len = g.usize_in(1..600);
+        let ops = random_ops(g, len);
+        let mut q = EventQueue::new();
+        let mut reference: BTreeMap<(u64, u64), f64> = BTreeMap::new();
+        let mut seq = 0u64;
+        for (step, &op) in ops.iter().enumerate() {
+            let first = reference.first_key_value().map(|(&k, &t)| (k, t));
+            let (got, want) = match op {
+                QueueOp::Push(t) => {
+                    q.push(SimTime::new(t), seq);
+                    reference.insert((total_order_key(t), seq), t);
+                    seq += 1;
+                    (None, None)
+                }
+                QueueOp::Peek => {
+                    let got = q.peek_time().map(|t| (t.as_f64().to_bits(), 0));
+                    (got, first.map(|(_, t)| (t.to_bits(), 0)))
+                }
+                QueueOp::Clear => {
+                    q.clear();
+                    reference.clear();
+                    (None, None)
+                }
+                QueueOp::Pop | QueueOp::PopUntil(_) | QueueOp::PopBefore(_) => {
+                    let due = |key: u64| match op {
+                        QueueOp::PopUntil(d) => key <= total_order_key(d),
+                        QueueOp::PopBefore(b) => key < total_order_key(b),
+                        _ => true,
+                    };
+                    let got = match op {
+                        QueueOp::PopUntil(d) => q.pop_until(SimTime::new(d)),
+                        QueueOp::PopBefore(b) => q.pop_before(SimTime::new(b)),
+                        _ => q.pop(),
+                    };
+                    let want = first.filter(|&((key, _), _)| due(key)).map(|(k, t)| {
+                        reference.remove(&k);
+                        (t.to_bits(), k.1)
+                    });
+                    (got.map(|(t, s)| (t.as_f64().to_bits(), s)), want)
+                }
+            };
+            assert_eq!(
+                got,
+                want,
+                "case {}: step {step} ({op:?}) disagrees with the reference",
+                g.case()
+            );
+            assert_eq!(q.len(), reference.len(), "case {}: length", g.case());
+            assert_eq!(q.is_empty(), reference.is_empty());
+        }
+        // Draining the rest must reproduce the reference order exactly.
+        let rest: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, s)| (t.as_f64().to_bits(), s))
+            .collect();
+        let want: Vec<(u64, u64)> = reference
+            .iter()
+            .map(|(&(_, s), &t)| (t.to_bits(), s))
+            .collect();
+        assert_eq!(rest, want, "case {}: drain order", g.case());
+    });
+}
+
 /// Welford tally matches the naive two-pass mean and variance.
 #[test]
 fn tally_matches_two_pass() {
