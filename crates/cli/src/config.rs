@@ -85,13 +85,9 @@ pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
         args.take_or("cpu-cpu", 1.0f64)?,
     );
     b = b.msg_length(args.take_or("msg", 1.0f64)?);
-    if let Some(reads) = args.take_opt::<f64>("reads")? {
-        let mut params = b.build().map_err(|e| ArgError(e.to_string()))?;
-        for class in &mut params.classes {
-            class.num_reads = reads;
-        }
-        b = builder_from(params);
-    }
+    // `--reads` sets every class's mean read count, which the builder
+    // has no setter for: it applies to the built params below.
+    let reads = args.take_opt::<f64>("reads")?;
     if let Some(choice) = args.take("disk-choice") {
         let parsed = match choice.as_str() {
             "random" => DiskChoice::Random,
@@ -422,7 +418,14 @@ pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
             state_growth: growth,
         }));
     }
-    b.build().map_err(|e| ArgError(e.to_string()))
+    let mut params = b.build().map_err(|e| ArgError(e.to_string()))?;
+    if let Some(reads) = reads {
+        for class in &mut params.classes {
+            class.num_reads = reads;
+        }
+        params.validate().map_err(|e| ArgError(e.to_string()))?;
+    }
+    Ok(params)
 }
 
 /// Consumes the `--jobs` flag shared by every simulation subcommand.
@@ -442,41 +445,6 @@ pub fn take_jobs(args: &mut Args) -> Result<Option<usize>, ArgError> {
         Some(0) => Err(ArgError("--jobs must be at least 1".into())),
         other => Ok(other),
     }
-}
-
-/// Rebuilds a builder from already-validated parameters (used when a flag
-/// must mutate a field the builder does not expose directly).
-fn builder_from(params: SystemParams) -> dqa_core::params::SystemParamsBuilder {
-    // The builder starts at paper_base; replay every field.
-    let mut b = SystemParams::builder()
-        .num_sites(params.num_sites)
-        .num_disks(params.num_disks)
-        .disk_time(params.disk_time)
-        .disk_time_dev(params.disk_time_dev)
-        .mpl(params.mpl)
-        .think_time(params.think_time)
-        .classes(params.classes)
-        .msg_length(params.msg_length)
-        .message_costing(params.message_costing)
-        .disk_choice(params.disk_choice)
-        .estimate_error(params.estimate_error)
-        .status_period(params.status_period)
-        .status_msg_length(params.status_msg_length)
-        .num_relations(params.num_relations)
-        .copies(params.copies)
-        .workload(params.workload)
-        .update_fraction(params.update_fraction)
-        .propagation_factor(params.propagation_factor)
-        .cpu_speeds(params.cpu_speeds)
-        .faults(params.faults)
-        .deadlines(params.deadlines)
-        .suspicion(params.suspicion)
-        .admission(params.admission)
-        .redundancy(params.redundancy)
-        .arrivals(params.arrivals)
-        .users(params.users);
-    b = b.migration(params.migration);
-    b
 }
 
 #[cfg(test)]
@@ -828,9 +796,8 @@ mod tests {
 
     #[test]
     fn reads_flag_preserves_resilience_config() {
-        // --reads rebuilds the builder mid-parse via builder_from, which
-        // must not drop any field — resilience flags consumed on either
-        // side of the rebuild have to survive into the final params.
+        // --reads applies to the built params; resilience flags consumed
+        // on either side of it have to survive into the final params.
         let mut a = args(&[
             "--reads",
             "40",
@@ -851,9 +818,8 @@ mod tests {
 
     #[test]
     fn reads_flag_preserves_fault_config() {
-        // --reads rebuilds the builder from validated params; fault flags
-        // are consumed afterwards, but a replayed builder must also keep
-        // an already-set fault spec intact.
+        // --reads applies to the built params; fault flags consumed
+        // after it must survive into the final params.
         let mut a = args(&["--reads", "40", "--fault-mtbf", "900"]);
         let p = take_params(&mut a).unwrap();
         a.finish().unwrap();
@@ -969,8 +935,7 @@ mod tests {
 
     #[test]
     fn reads_flag_preserves_live_service_config() {
-        // builder_from must replay the live-service fields; --reads after
-        // live flags would otherwise silently drop them.
+        // --reads after live flags must not drop the live-service fields.
         let mut a = args(&[
             "--open-rate",
             "0.05",

@@ -81,7 +81,6 @@ mod time;
 pub mod random;
 pub mod stats;
 pub mod testkit;
-pub mod trace;
 
 pub use engine::{Engine, Model, Scheduler};
 pub use queue::EventQueue;
