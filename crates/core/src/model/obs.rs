@@ -14,8 +14,10 @@
 //! between different sites' events.
 //!
 //! Barrier-time handlers (ring deliveries, crashes, partition edges) run
-//! with full access in both executors and mutate [`Metrics`] and the board
-//! directly — only per-LP handlers need the log.
+//! in both executors and mutate [`Metrics`] and the board's published
+//! rows and availability directly; a site's *live* row changes only
+//! through the log, because they run every LP-owned step on the owning
+//! LP and flush its log at once.
 
 use dqa_sim::SimTime;
 
