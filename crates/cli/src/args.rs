@@ -63,12 +63,7 @@ impl Args {
     where
         T::Err: fmt::Display,
     {
-        match self.values.remove(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|e| ArgError(format!("invalid value for --{name}: {e}"))),
-        }
+        Ok(self.take_opt(name)?.unwrap_or(default))
     }
 
     /// Removes and parses an optional flag.

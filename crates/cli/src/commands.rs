@@ -354,115 +354,6 @@ fn parse_load(spec: &str) -> Result<LoadMatrix, ArgError> {
     Ok(LoadMatrix::new(counts))
 }
 
-/// `dqa check`: bounded explicit-state model checking of the allocation
-/// & resilience protocols (see `crates/check`), or — with
-/// `--replay-trace FILE` — a deterministic replay of a previously
-/// emitted counterexample through the real simulator.
-pub fn check(mut args: Args) -> Result<(), ArgError> {
-    use dqa_check::{CheckConfig, Checker, Mutation, ReplayConfig};
-
-    if let Some(path) = args.take("replay-trace") {
-        args.finish()?;
-        let text = std::fs::read_to_string(&path).map_err(|e| ArgError(format!("{path}: {e}")))?;
-        let replay = ReplayConfig::parse(&text).map_err(ArgError)?;
-        let first = replay.run().map_err(|e| ArgError(e.to_string()))?;
-        let second = replay.run().map_err(|e| ArgError(e.to_string()))?;
-        if first != second {
-            return Err(ArgError(
-                "replay is not deterministic: reports differ across runs".into(),
-            ));
-        }
-        println!("replayed {path} deterministically (two bitwise-identical runs)");
-        println!(
-            "  policy {} seed {}: completed {}, lost {}, abandoned {}, reallocations {}, \
-             partition drops {}",
-            first.policy,
-            replay.seed,
-            first.completed,
-            first.queries_lost,
-            first.deadline_abandoned + first.admission_dropped,
-            first.deadline_reallocations,
-            first.partition_drops
-        );
-        return Ok(());
-    }
-
-    let defaults = CheckConfig::default();
-    let mutation = match args.take("mutation") {
-        None => None,
-        Some(name) => Some(
-            Mutation::parse(&name).ok_or_else(|| ArgError(format!("unknown mutation `{name}`")))?,
-        ),
-    };
-    let config = CheckConfig {
-        sites: args.take_or("sites", defaults.sites)?,
-        queries: args.take_or("queries", defaults.queries)?,
-        max_crashes: args.take_or("crashes", defaults.max_crashes)?,
-        fault_retries: args.take_or("fault-retries", defaults.fault_retries)?,
-        partition: args.take_or("partition", 1u8)? != 0,
-        suspicion: args.take_or("suspicion", 1u8)? != 0,
-        realloc_budget: match args.take_opt::<u32>("realloc-budget")? {
-            Some(b) => Some(b),
-            None => defaults.realloc_budget,
-        },
-        admission_retries: match args.take_opt::<u32>("admission-retries")? {
-            Some(b) => Some(b),
-            None => defaults.admission_retries,
-        },
-        window_barrier: args.take_or("window-barrier", 0u8)? != 0,
-        redundancy: args.take_or("redundancy", 0u8)? != 0,
-        mutation: None,
-    };
-    let config = match mutation {
-        Some(m) => config.with_mutation(m),
-        None => config,
-    };
-    let emit_trace = args.take("emit-trace");
-    args.finish()?;
-    if config.sites == 0 || config.sites > usize::from(u8::MAX) {
-        return Err(ArgError("--sites must be in 1..=255".into()));
-    }
-    if config.queries == 0 {
-        return Err(ArgError("--queries must be at least 1".into()));
-    }
-
-    let report = Checker::new(config).run();
-    println!(
-        "checked {} sites x {} queries, {} crash(es): {} states, {} transitions, depth {}",
-        config.sites,
-        config.queries,
-        config.max_crashes,
-        report.states,
-        report.transitions,
-        report.max_depth
-    );
-    match report.violation {
-        None => {
-            println!(
-                "all invariants hold ({} terminal states)",
-                report.terminal_states
-            );
-            Ok(())
-        }
-        Some(v) => {
-            println!("counterexample ({} steps):", v.trace.len());
-            for (i, action) in v.trace.iter().enumerate() {
-                println!("  {:>3}. {action}", i + 1);
-            }
-            if let Some(path) = emit_trace {
-                let replay = ReplayConfig::from_trace(&config, &v.trace);
-                std::fs::write(&path, replay.serialize())
-                    .map_err(|e| ArgError(format!("{path}: {e}")))?;
-                println!("wrote replayable counterexample to {path}");
-            }
-            Err(ArgError(format!(
-                "invariant violated: {}",
-                v.invariant.name()
-            )))
-        }
-    }
-}
-
 // `main` refers to the run subcommand as `commands::run`.
 pub use run_cmd as run;
 

@@ -1,9 +1,18 @@
 //! Shared flag handling: building [`SystemParams`] and policies from
 //! command-line flags.
+//!
+//! Every system flag is declared once, in [`FLAGS`]: its name, value
+//! hint, help line and the [`SystemParams`] field it writes. Parsing
+//! starts from [`SystemParams::paper_base`]; the first flag of an
+//! optional layer creates the layer's spec from its `Default`.
+//! [`SWITCHES`] says which flags switch a layer on, and `dqa help` prints
+//! the flag sections from the same declarations.
+
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 
 use dqa_core::params::{
-    AdmissionSpec, ArrivalSpec, DeadlineSpec, DiskChoice, FaultSpec, MessageCosting, MigrationSpec,
-    RedundancySpec, SheddingMode, SuspicionSpec, SystemParams, UserSpec, Workload,
+    DiskChoice, MessageCosting, MigrationSpec, ParamsError, SheddingMode, SystemParams, Workload,
 };
 use dqa_core::policy::PolicyKind;
 
@@ -38,394 +47,362 @@ pub fn parse_policy(name: &str) -> Result<PolicyKind, ArgError> {
     }
 }
 
-/// Consumes the system-parameter flags shared by every simulation
-/// subcommand and builds validated [`SystemParams`].
-///
-/// Flags (all optional, defaults are the paper's base configuration):
-/// `--sites`, `--disks`, `--mpl`, `--think`, `--io-prob`, `--io-cpu`,
-/// `--cpu-cpu`, `--msg`, `--reads`, `--disk-choice random|rr|jsq`,
-/// `--estimate-error`, `--status-period`, `--status-msg`, `--relations`,
-/// `--copies`, `--migrate every,gain,growth`, and the fault-injection
-/// family `--fault-mtbf`, `--fault-mttr`, `--msg-loss`, `--status-loss`,
-/// `--fault-retries`, `--fault-backoff`, `--partition-at`,
-/// `--partition-for`, `--partition-groups` (any of which enables the
-/// fault layer; unspecified members take [`FaultSpec::default`] values).
-///
-/// Resilience layers (each family independently optional):
-/// deadlines via `--deadline-mean`, `--deadline-floor`,
-/// `--deadline-retries`, `--deadline-backoff`; failure suspicion via
-/// `--suspect-after`, `--suspect-probation` (requires a costed status
-/// broadcast); admission control via `--admission-cap`,
-/// `--admission-queue`, `--admission-mode reject|redirect|drop`,
-/// `--admission-retries`, `--admission-backoff`; redundancy-aware
-/// dispatch via `--redundancy N` (the replication level, active at 2+)
-/// with refinements `--redundancy-prob`, `--redundancy-load-cap`,
-/// `--redundancy-full-frac`.
-///
-/// Live-service layers (require `--open-rate`): time-varying arrivals
-/// via `--live-diurnal AMP` (+ `--live-period P`),
-/// `--live-flash at,for,mult`, `--live-burst mult,on,off` (any of which
-/// enables the nonhomogeneous arrival kernel); the user population via
-/// `--live-users N` with refinements `--live-zipf`, `--live-session`,
-/// `--live-affinity`.
+/// One system flag.
+struct Flag {
+    /// Name without the leading `--`.
+    name: &'static str,
+    /// Value hint, shown in help and in parse errors.
+    hint: &'static str,
+    /// One help line.
+    help: &'static str,
+    /// The [`SystemParams`] field written, `layer.field` inside an
+    /// optional layer (a tuple flag names the common prefix of its
+    /// fields). Validation errors on it name the flag.
+    field: &'static str,
+    /// Parses a value into the params.
+    set: fn(&mut SystemParams, &str) -> Result<(), String>,
+    /// The default shown by `dqa help` (empty for none).
+    show: fn(&SystemParams) -> String,
+}
+
+/// Declares a [`Flag`]. A `field` or `layer.field` path is parsed with
+/// `FromStr` and shows its default; a quoted field name takes a setter
+/// expression over `p` and `v` and, optionally, how to show the default.
+macro_rules! flag {
+    (@show) => {
+        |_| String::new()
+    };
+    (@show $show:expr) => {
+        $show
+    };
+    ($name:literal, $hint:literal, $help:literal, $layer:ident . $field:ident) => {
+        flag!($name, $hint, $help, concat!(stringify!($layer), ".", stringify!($field)),
+            |p, v| spec(&mut p.$layer).$field = parse(v)?,
+            |p| p.$layer.unwrap_or_default().$field.to_string())
+    };
+    ($name:literal, $hint:literal, $help:literal, $field:ident) => {
+        flag!($name, $hint, $help, stringify!($field),
+            |p, v| p.$field = parse(v)?,
+            |p| p.$field.to_string())
+    };
+    ($name:literal, $hint:literal, $help:literal, $field:expr,
+        |$p:ident, $v:ident| $set:expr $(, $show:expr)?) => {
+        Flag {
+            name: $name,
+            hint: $hint,
+            help: $help,
+            field: $field,
+            set: |$p, $v| {
+                $set;
+                Ok(())
+            },
+            show: flag!(@show $($show)?),
+        }
+    };
+}
+
+/// Every system flag, in `dqa help` order.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag!("sites", "N", "number of DB sites", num_sites),
+    flag!("disks", "N", "disks per site", num_disks),
+    flag!("mpl", "N", "terminals per site", mpl),
+    flag!("think", "T", "mean think time", think_time),
+    flag!("io-prob", "P", "I/O-bound class probability, CPU-bound 1 - P", "classes.probability",
+        |p, v| (p.classes[0].probability, p.classes[1].probability) = {
+            let io: f64 = parse(v)?;
+            (io, 1.0 - io)
+        },
+        |p| p.classes[0].probability.to_string()),
+    flag!("io-cpu", "T", "I/O-bound class CPU time per page", "classes.page_cpu_time",
+        |p, v| p.classes[0].page_cpu_time = parse(v)?,
+        |p| p.classes[0].page_cpu_time.to_string()),
+    flag!("cpu-cpu", "T", "CPU-bound class CPU time per page", "classes.page_cpu_time",
+        |p, v| p.classes[1].page_cpu_time = parse(v)?,
+        |p| p.classes[1].page_cpu_time.to_string()),
+    flag!("reads", "N", "mean page reads per query, every class", "classes.num_reads",
+        |p, v| {
+            let reads = parse(v)?;
+            p.classes.iter_mut().for_each(|c| c.num_reads = reads);
+        },
+        |p| p.classes[0].num_reads.to_string()),
+    flag!("msg", "T", "remote-transfer message time", msg_length),
+    flag!("detailed-msg", "msg_time,page_size", "Table-2/3 message costing", "message_costing",
+        |p, v| p.message_costing = {
+            let [msg_time, page_size] = tuple(v)?;
+            MessageCosting::Detailed { msg_time: parse(msg_time)?, page_size: parse(page_size)? }
+        }),
+    flag!("disk-choice", "random|rr|jsq", "disk per page read", "disk_choice",
+        |p, v| p.disk_choice = named(DISK_CHOICES, v)?,
+        |p| name_of(DISK_CHOICES, p.disk_choice)),
+    flag!("estimate-error", "E", "optimizer noise fraction", estimate_error),
+    flag!("status-period", "T", "load-exchange period, 0 = oracle", status_period),
+    flag!("status-msg", "T", "status frame ring time, 0 = free", status_msg_length),
+    flag!("relations", "N", "relations in the catalog", num_relations),
+    flag!("copies", "K", "copies per relation (absent: full replication)", "copies",
+        |p, v| p.copies = Some(parse(v)?)),
+    flag!("migrate", "every,gain,growth", "migration: reads between checks, min gain, state growth",
+        "migration",
+        |p, v| p.migration = {
+            let [every, gain, growth] = tuple(v)?;
+            let (check_every_reads, min_gain) = (parse(every)?, parse(gain)?);
+            Some(MigrationSpec { check_every_reads, min_gain, state_growth: parse(growth)? })
+        }),
+    flag!("open-rate", "L", "Poisson arrivals per site and time unit (absent: closed)", "workload",
+        |p, v| p.workload = Workload::Open { arrival_rate: parse(v)? }),
+    flag!("update-frac", "U", "update fraction of the workload", update_fraction),
+    flag!("prop-factor", "F", "apply work per replica, x reads", propagation_factor),
+    flag!("cpu-speeds", "a,b,..", "per-site CPU speed factors (absent: homogeneous)", "cpu_speeds",
+        |p, v| p.cpu_speeds = Some(v.split(',').map(parse).collect::<Result<_, _>>()?)),
+    flag!("fault-mtbf", "T", "mean time between site crashes, 0 = none", faults.mtbf),
+    flag!("fault-mttr", "T", "mean site repair time", faults.mttr),
+    flag!("msg-loss", "P", "ring message loss probability", faults.msg_loss),
+    flag!("status-loss", "P", "status broadcast dropout probability", faults.status_loss),
+    flag!("fault-retries", "N", "retry budget per query", faults.max_retries),
+    flag!("fault-backoff", "T", "base retry backoff delay", faults.backoff_base),
+    flag!("partition-at", "T", "start of an injected ring partition", faults.partition_at),
+    flag!("partition-for", "T", "partition duration, 0 = none", faults.partition_for),
+    flag!("partition-groups", "N", "site groups the ring splits into", faults.partition_groups),
+    flag!("deadline-mean", "T", "mean deadline slack Exp(T) over the floor", deadlines.mean),
+    flag!("deadline-floor", "T", "minimum deadline of every query", deadlines.floor),
+    flag!("deadline-retries", "N", "reallocations before an expired query is abandoned",
+        deadlines.max_reallocations),
+    flag!("deadline-backoff", "T", "base backoff between reallocations", deadlines.backoff_base),
+    flag!("suspect-after", "N", "silent broadcast periods before a site is suspected",
+        suspicion.threshold),
+    flag!("suspect-probation", "N", "broadcasts heard before a suspect is trusted",
+        suspicion.probation),
+    flag!("admission-cap", "N", "per-site cap on resident queries (absent: none)",
+        "admission.mpl_cap",
+        |p, v| spec(&mut p.admission).mpl_cap = Some(parse(v)?)),
+    flag!("admission-queue", "N", "per-site cap on allocated queries (absent: none)",
+        "admission.queue_limit",
+        |p, v| spec(&mut p.admission).queue_limit = Some(parse(v)?)),
+    flag!("admission-mode", "reject|redirect|drop", "what a full site does with a query",
+        "admission.mode",
+        |p, v| spec(&mut p.admission).mode = named(SHEDDING_MODES, v)?,
+        |p| name_of(SHEDDING_MODES, p.admission.unwrap_or_default().mode)),
+    flag!("admission-retries", "N", "retries under reject before a drop", admission.max_retries),
+    flag!("admission-backoff", "T", "base backoff between admission retries",
+        admission.backoff_base),
+    flag!("redundancy", "N", "replication level: 2+ hedges, 1 keeps an inert spec",
+        redundancy.max_level),
+    flag!("redundancy-prob", "P", "probability an eligible query is hedged", redundancy.hedge_prob),
+    flag!("redundancy-load-cap", "L", "site load per level step down, 0 = none",
+        redundancy.load_threshold),
+    flag!("redundancy-full-frac", "F", "share of full sites that stops hedging",
+        redundancy.full_threshold),
+    flag!("live-diurnal", "A", "diurnal amplitude of 1 + A sin(2 pi t / P)",
+        arrivals.diurnal_amplitude),
+    flag!("live-period", "P", "diurnal period", arrivals.diurnal_period),
+    flag!("live-flash", "at,for,mult", "flash crowd: x mult arrivals on [at, at + for)",
+        "arrivals.flash",
+        |p, v| {
+            let ([at, dur, mult], a) = (tuple(v)?, spec(&mut p.arrivals));
+            (a.flash_at, a.flash_for, a.flash_multiplier) = (parse(at)?, parse(dur)?, parse(mult)?);
+        }),
+    flag!("live-burst", "mult,on,off", "MMPP bursts: x mult, mean dwells on and off",
+        "arrivals.burst",
+        |p, v| {
+            let ([mult, on, off], a) = (tuple(v)?, spec(&mut p.arrivals));
+            (a.burst_multiplier, a.burst_on_mean, a.burst_off_mean) =
+                (parse(mult)?, parse(on)?, parse(off)?);
+        }),
+    flag!("live-users", "N", "total user population", users.total_users),
+    flag!("live-zipf", "S", "Zipf exponent of user selection, 0 = uniform", users.zipf_exponent),
+    flag!("live-session", "Q", "mean queries per user session", users.session_mean),
+    flag!("live-affinity", "P", "probability a query takes its user's class",
+        users.class_affinity),
+];
+
+/// The `dqa help` heading of each optional layer's flags; other flags
+/// fall under the first.
+#[rustfmt::skip]
+const SECTIONS: &[(&str, &str)] = &[
+    ("", "SYSTEM FLAGS (defaults are the paper's base configuration):"),
+    ("faults", "FAULT FLAGS (any one switches fault injection on):"),
+    ("deadlines", "DEADLINE FLAGS (a positive --deadline-mean switches them on):"),
+    ("suspicion", "SUSPICION FLAGS (either switches them on; need a costed status broadcast):"),
+    ("admission", "ADMISSION FLAGS (--admission-cap or --admission-queue switches them on):"),
+    ("redundancy", "REDUNDANCY FLAGS (--redundancy 2 or more switches hedging on):"),
+    ("arrivals", "LIVE ARRIVAL FLAGS (need --open-rate; any but --live-period switches them on):"),
+    ("users", "LIVE USER FLAGS (need --open-rate; a positive --live-users switches them on):"),
+];
+
+/// A layer that one or more of its flags switch on. Its other flags
+/// (those whose field starts with `layer`) refine it, and giving one
+/// while the layer is off is an error.
+struct Switch {
+    /// Field prefix of the layer's flags.
+    layer: &'static str,
+    /// The flags that switch the layer on.
+    switches: &'static [&'static str],
+    /// Whether the layer is on, once every flag is applied.
+    on: fn(&SystemParams) -> bool,
+    /// Why a given switch leaves the layer off.
+    off: &'static str,
+}
+
+#[rustfmt::skip]
+const SWITCHES: &[Switch] = &[
+    Switch { layer: "faults.partition_", switches: &["partition-for"],
+        on: |p| p.faults.is_some_and(|f| f.partition_for > 0.0),
+        off: "--partition-for 0 disables the partition" },
+    Switch { layer: "deadlines.", switches: &["deadline-mean"],
+        on: |p| p.deadlines.is_some_and(|d| d.is_active()),
+        off: "--deadline-mean 0 disables deadlines" },
+    Switch { layer: "admission.", switches: &["admission-cap", "admission-queue"],
+        on: |p| p.admission.is_some_and(|a| a.is_active()),
+        off: "" }, // any cap given switches it on
+    Switch { layer: "redundancy.", switches: &["redundancy"],
+        on: |p| p.redundancy.is_some_and(|r| r.max_level >= 2),
+        off: "--redundancy below 2 disables hedging" },
+    Switch { layer: "arrivals.diurnal_", switches: &["live-diurnal"],
+        on: |p| p.arrivals.is_some_and(|a| a.diurnal_amplitude > 0.0),
+        off: "--live-diurnal 0 disables the diurnal curve" },
+    Switch { layer: "users.", switches: &["live-users"],
+        on: |p| p.users.is_some_and(|u| u.is_active()),
+        off: "--live-users 0 disables the population" },
+];
+
+/// CLI names of the disk disciplines and shedding modes; help shows the
+/// first name of a value.
+const DISK_CHOICES: &[(&str, DiskChoice)] = &[
+    ("random", DiskChoice::Random),
+    ("rr", DiskChoice::RoundRobin),
+    ("round-robin", DiskChoice::RoundRobin),
+    ("jsq", DiskChoice::ShortestQueue),
+    ("shortest-queue", DiskChoice::ShortestQueue),
+];
+const SHEDDING_MODES: &[(&str, SheddingMode)] = &[
+    ("reject", SheddingMode::RejectRetry),
+    ("redirect", SheddingMode::Redirect),
+    ("drop", SheddingMode::Drop),
+];
+
+fn parse<T: FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// Splits a comma-separated tuple value into exactly `N` parts.
+fn tuple<const N: usize>(v: &str) -> Result<[&str; N], String> {
+    let parts: Vec<&str> = v.split(',').collect();
+    parts
+        .try_into()
+        .map_err(|_| format!("needs {N} comma-separated values"))
+}
+
+fn named<T: Copy>(names: &[(&str, T)], v: &str) -> Result<T, String> {
+    names
+        .iter()
+        .find(|(name, _)| *name == v)
+        .map(|&(_, value)| value)
+        .ok_or_else(|| "unknown name".to_owned())
+}
+
+fn name_of<T: PartialEq>(names: &[(&str, T)], value: T) -> String {
+    names
+        .iter()
+        .find(|(_, v)| *v == value)
+        .map_or_else(String::new, |(name, _)| (*name).to_owned())
+}
+
+/// An optional layer's spec, created from its `Default` on first use.
+fn spec<T: Default>(layer: &mut Option<T>) -> &mut T {
+    layer.get_or_insert_with(T::default)
+}
+
+/// Consumes the system flags shared by every simulation subcommand (see
+/// `dqa help`) and builds validated [`SystemParams`].
 ///
 /// # Errors
 ///
-/// Propagates parse failures and parameter-validation failures with the
-/// offending flag named.
+/// Reports unparsable values, a refinement flag of a layer that is off,
+/// and parameter-validation failures, naming the flag.
 pub fn take_params(args: &mut Args) -> Result<SystemParams, ArgError> {
-    let mut b = SystemParams::builder();
-    b = b.num_sites(args.take_or("sites", 6usize)?);
-    b = b.num_disks(args.take_or("disks", 2u32)?);
-    b = b.mpl(args.take_or("mpl", 20u32)?);
-    b = b.think_time(args.take_or("think", 350.0f64)?);
-    b = b.two_class(
-        args.take_or("io-prob", 0.5f64)?,
-        args.take_or("io-cpu", 0.05f64)?,
-        args.take_or("cpu-cpu", 1.0f64)?,
-    );
-    b = b.msg_length(args.take_or("msg", 1.0f64)?);
-    // `--reads` sets every class's mean read count, which the builder
-    // has no setter for: it applies to the built params below.
-    let reads = args.take_opt::<f64>("reads")?;
-    if let Some(choice) = args.take("disk-choice") {
-        let parsed = match choice.as_str() {
-            "random" => DiskChoice::Random,
-            "rr" | "round-robin" => DiskChoice::RoundRobin,
-            "jsq" | "shortest-queue" => DiskChoice::ShortestQueue,
-            other => {
-                return Err(ArgError(format!(
-                    "unknown disk choice `{other}` (expected random, rr, jsq)"
-                )))
-            }
-        };
-        b = b.disk_choice(parsed);
+    let mut params = SystemParams::paper_base();
+    let mut given = Vec::new();
+    for flag in FLAGS {
+        if let Some(value) = args.take(flag.name) {
+            (flag.set)(&mut params, &value).map_err(|e| {
+                ArgError(format!(
+                    "invalid value `{value}` for --{} (expected {}): {e}",
+                    flag.name, flag.hint
+                ))
+            })?;
+            given.push(flag);
+        }
     }
-    b = b.estimate_error(args.take_or("estimate-error", 0.0f64)?);
-    b = b.status_period(args.take_or("status-period", 0.0f64)?);
-    b = b.status_msg_length(args.take_or("status-msg", 0.0f64)?);
-    b = b.num_relations(args.take_or("relations", 12usize)?);
-    if let Some(copies) = args.take_opt::<u32>("copies")? {
-        b = b.copies(Some(copies));
-    }
-    if let Some(spec) = args.take("detailed-msg") {
-        let parts: Vec<&str> = spec.split(',').collect();
-        if parts.len() != 2 {
+    for switch in SWITCHES.iter().filter(|s| !(s.on)(&params)) {
+        let switched = |f: &&&Flag| switch.switches.contains(&f.name);
+        let refinement = given
+            .iter()
+            .find(|f| f.field.starts_with(switch.layer) && !switched(f));
+        if let Some(refinement) = refinement {
+            let why = if given.iter().any(|f| switched(&f)) {
+                switch.off.to_owned()
+            } else {
+                format!("no --{} was given", switch.switches.join(" or --"))
+            };
             return Err(ArgError(format!(
-                "--detailed-msg expects `msg_time,page_size`, got `{spec}`"
+                "--{} has no effect because {why}",
+                refinement.name
             )));
         }
-        let msg_time = parts[0]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid msg_time: {e}")))?;
-        let page_size = parts[1]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid page_size: {e}")))?;
-        b = b.message_costing(MessageCosting::Detailed {
-            msg_time,
-            page_size,
-        });
     }
-    if let Some(rate) = args.take_opt::<f64>("open-rate")? {
-        b = b.workload(Workload::Open { arrival_rate: rate });
-    }
-    b = b.update_fraction(args.take_or("update-frac", 0.0f64)?);
-    b = b.propagation_factor(args.take_or("prop-factor", 0.5f64)?);
-    if let Some(speeds) = args.take("cpu-speeds") {
-        let parsed: Result<Vec<f64>, _> = speeds.split(',').map(str::parse).collect();
-        let parsed = parsed.map_err(|e| ArgError(format!("invalid --cpu-speeds list: {e}")))?;
-        b = b.cpu_speeds(Some(parsed));
-    }
-    // Fault-injection flags: any one of them switches the layer on.
-    let fault_mtbf = args.take_opt::<f64>("fault-mtbf")?;
-    let fault_mttr = args.take_opt::<f64>("fault-mttr")?;
-    let msg_loss = args.take_opt::<f64>("msg-loss")?;
-    let status_loss = args.take_opt::<f64>("status-loss")?;
-    let fault_retries = args.take_opt::<u32>("fault-retries")?;
-    let fault_backoff = args.take_opt::<f64>("fault-backoff")?;
-    let partition_at = args.take_opt::<f64>("partition-at")?;
-    let partition_for = args.take_opt::<f64>("partition-for")?;
-    let partition_groups = args.take_opt::<u32>("partition-groups")?;
-    if (partition_for.is_some_and(|v| v > 0.0) || partition_at.is_some())
-        && partition_groups.is_none_or(|g| g < 2)
-    {
-        return Err(ArgError(
-            "an injected partition needs --partition-groups of at least 2 \
-             alongside --partition-at/--partition-for"
-                .into(),
-        ));
-    }
-    if partition_groups.is_some_and(|g| g >= 2) && !partition_for.is_some_and(|v| v > 0.0) {
-        return Err(ArgError(
-            "--partition-groups does nothing without a positive --partition-for \
-             (the partition's duration)"
-                .into(),
-        ));
-    }
-    if fault_mtbf.is_some()
-        || fault_mttr.is_some()
-        || msg_loss.is_some()
-        || status_loss.is_some()
-        || fault_retries.is_some()
-        || fault_backoff.is_some()
-        || partition_at.is_some()
-        || partition_for.is_some()
-        || partition_groups.is_some()
-    {
-        let defaults = FaultSpec::default();
-        b = b.faults(Some(FaultSpec {
-            mtbf: fault_mtbf.unwrap_or(defaults.mtbf),
-            mttr: fault_mttr.unwrap_or(defaults.mttr),
-            msg_loss: msg_loss.unwrap_or(defaults.msg_loss),
-            status_loss: status_loss.unwrap_or(defaults.status_loss),
-            max_retries: fault_retries.unwrap_or(defaults.max_retries),
-            backoff_base: fault_backoff.unwrap_or(defaults.backoff_base),
-            partition_at: partition_at.unwrap_or(defaults.partition_at),
-            partition_for: partition_for.unwrap_or(defaults.partition_for),
-            partition_groups: partition_groups.unwrap_or(defaults.partition_groups),
-        }));
-    }
-    // Deadline flags: --deadline-mean switches the layer on; the others
-    // refine it and are meaningless (and rejected) without it.
-    let deadline_mean = args.take_opt::<f64>("deadline-mean")?;
-    let deadline_floor = args.take_opt::<f64>("deadline-floor")?;
-    let deadline_retries = args.take_opt::<u32>("deadline-retries")?;
-    let deadline_backoff = args.take_opt::<f64>("deadline-backoff")?;
-    let deadline_active = deadline_mean.is_some_and(|m| m > 0.0);
-    if !deadline_active
-        && (deadline_floor.is_some() || deadline_retries.is_some() || deadline_backoff.is_some())
-    {
-        let given = if deadline_mean.is_some() {
-            "--deadline-mean 0 disables deadlines"
-        } else {
-            "no --deadline-mean was given"
+    // A lone zero mean or population is a sweep's "off" point.
+    params.deadlines = params.deadlines.filter(|d| d.is_active());
+    params.users = params.users.filter(|u| u.is_active());
+    params.validate().map_err(|e| {
+        let field = match e {
+            ParamsError::NonPositive { field, .. }
+            | ParamsError::BadFraction { field, .. }
+            | ParamsError::OutOfRange { field, .. } => field,
+            _ => "",
         };
-        return Err(ArgError(format!(
-            "--deadline-floor/--deadline-retries/--deadline-backoff have no effect \
-             because {given}; set --deadline-mean to a positive value to enable \
-             deadlines, or drop the other deadline flags"
-        )));
-    }
-    if deadline_active {
-        let defaults = DeadlineSpec::default();
-        b = b.deadlines(Some(DeadlineSpec {
-            mean: deadline_mean.unwrap_or(defaults.mean),
-            floor: deadline_floor.unwrap_or(defaults.floor),
-            max_reallocations: deadline_retries.unwrap_or(defaults.max_reallocations),
-            backoff_base: deadline_backoff.unwrap_or(defaults.backoff_base),
-        }));
-    }
-    // Suspicion flags: either one switches the detector on.
-    let suspect_after = args.take_opt::<u32>("suspect-after")?;
-    let suspect_probation = args.take_opt::<u32>("suspect-probation")?;
-    if suspect_after.is_some() || suspect_probation.is_some() {
-        let defaults = SuspicionSpec::default();
-        b = b.suspicion(Some(SuspicionSpec {
-            threshold: suspect_after.unwrap_or(defaults.threshold),
-            probation: suspect_probation.unwrap_or(defaults.probation),
-        }));
-    }
-    // Admission flags: a cap or a queue limit switches the layer on; the
-    // shedding mode and retry knobs refine it.
-    let admission_cap = args.take_opt::<u32>("admission-cap")?;
-    let admission_queue = args.take_opt::<u32>("admission-queue")?;
-    let admission_mode = args.take("admission-mode");
-    let admission_retries = args.take_opt::<u32>("admission-retries")?;
-    let admission_backoff = args.take_opt::<f64>("admission-backoff")?;
-    if admission_cap == Some(0) {
-        return Err(ArgError(
-            "--admission-cap must be at least 1 (a cap of 0 would admit nothing); \
-             omit the flag to disable the MPL cap"
-                .into(),
-        ));
-    }
-    if admission_queue == Some(0) {
-        return Err(ArgError(
-            "--admission-queue must be at least 1 (a limit of 0 would admit \
-             nothing); omit the flag to disable the queue limit"
-                .into(),
-        ));
-    }
-    if admission_cap.is_some() || admission_queue.is_some() {
-        let mode = match admission_mode.as_deref() {
-            None | Some("reject") => SheddingMode::RejectRetry,
-            Some("redirect") => SheddingMode::Redirect,
-            Some("drop") => SheddingMode::Drop,
-            Some(other) => {
-                return Err(ArgError(format!(
-                    "unknown admission mode `{other}` (expected reject, redirect, drop)"
-                )))
-            }
-        };
-        let defaults = AdmissionSpec::default();
-        b = b.admission(Some(AdmissionSpec {
-            mpl_cap: admission_cap,
-            queue_limit: admission_queue,
-            mode,
-            max_retries: admission_retries.unwrap_or(defaults.max_retries),
-            backoff_base: admission_backoff.unwrap_or(defaults.backoff_base),
-        }));
-    } else if admission_mode.is_some() || admission_retries.is_some() || admission_backoff.is_some()
-    {
-        return Err(ArgError(
-            "--admission-mode/--admission-retries/--admission-backoff have no \
-             effect without --admission-cap or --admission-queue; add a cap or \
-             a queue limit to enable admission control"
-                .into(),
-        ));
-    }
-    // Redundancy flags: --redundancy (the replication level n) switches
-    // hedged dispatch on at n >= 2; the refinements tune the hedge coin
-    // and the load-adaptive controller and are meaningless (and
-    // rejected) without it. A bare `--redundancy 1` keeps an inert spec
-    // in the params — useful for byte-identity checks, since an inert
-    // spec draws nothing from the RNG.
-    let redundancy = args.take_opt::<u32>("redundancy")?;
-    let redundancy_prob = args.take_opt::<f64>("redundancy-prob")?;
-    let redundancy_load_cap = args.take_opt::<f64>("redundancy-load-cap")?;
-    let redundancy_full_frac = args.take_opt::<f64>("redundancy-full-frac")?;
-    let redundancy_active = redundancy.is_some_and(|n| n >= 2);
-    if !redundancy_active
-        && (redundancy_prob.is_some()
-            || redundancy_load_cap.is_some()
-            || redundancy_full_frac.is_some())
-    {
-        let given = if redundancy.is_some() {
-            "--redundancy below 2 disables hedging"
-        } else {
-            "no --redundancy was given"
-        };
-        return Err(ArgError(format!(
-            "--redundancy-prob/--redundancy-load-cap/--redundancy-full-frac have \
-             no effect because {given}; set --redundancy to at least 2 to enable \
-             hedged dispatch, or drop the refinement flags"
-        )));
-    }
-    if let Some(level) = redundancy {
-        let defaults = RedundancySpec::default();
-        b = b.redundancy(Some(RedundancySpec {
-            max_level: level,
-            hedge_prob: redundancy_prob.unwrap_or(defaults.hedge_prob),
-            load_threshold: redundancy_load_cap.unwrap_or(defaults.load_threshold),
-            full_threshold: redundancy_full_frac.unwrap_or(defaults.full_threshold),
-        }));
-    }
-    // Live-service arrival flags: any of --live-diurnal, --live-flash,
-    // --live-burst switches the time-varying arrival layer on.
-    let live_diurnal = args.take_opt::<f64>("live-diurnal")?;
-    let live_period = args.take_opt::<f64>("live-period")?;
-    let live_flash = args.take("live-flash");
-    let live_burst = args.take("live-burst");
-    if live_period.is_some() && live_diurnal.is_none() {
-        return Err(ArgError(
-            "--live-period has no effect without --live-diurnal (the diurnal \
-             amplitude); add --live-diurnal or drop --live-period"
-                .into(),
-        ));
-    }
-    if live_diurnal.is_some() || live_flash.is_some() || live_burst.is_some() {
-        let mut spec = ArrivalSpec::default();
-        if let Some(amp) = live_diurnal {
-            spec.diurnal_amplitude = amp;
+        let flags: Vec<String> = FLAGS
+            .iter()
+            .filter(|f| !field.is_empty() && field.starts_with(f.field))
+            .map(|f| format!("--{}", f.name))
+            .collect();
+        match flags.as_slice() {
+            [] => ArgError(e.to_string()),
+            _ => ArgError(format!("{e} (see {})", flags.join(", "))),
         }
-        if let Some(period) = live_period {
-            spec.diurnal_period = period;
-        }
-        if let Some(flash) = live_flash {
-            let parts: Vec<&str> = flash.split(',').collect();
-            if parts.len() != 3 {
-                return Err(ArgError(format!(
-                    "--live-flash expects `at,for,mult`, got `{flash}`"
-                )));
-            }
-            spec.flash_at = parts[0]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid flash start: {e}")))?;
-            spec.flash_for = parts[1]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid flash duration: {e}")))?;
-            spec.flash_multiplier = parts[2]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid flash multiplier: {e}")))?;
-        }
-        if let Some(burst) = live_burst {
-            let parts: Vec<&str> = burst.split(',').collect();
-            if parts.len() != 3 {
-                return Err(ArgError(format!(
-                    "--live-burst expects `mult,on,off`, got `{burst}`"
-                )));
-            }
-            spec.burst_multiplier = parts[0]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid burst multiplier: {e}")))?;
-            spec.burst_on_mean = parts[1]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid burst on-dwell: {e}")))?;
-            spec.burst_off_mean = parts[2]
-                .parse()
-                .map_err(|e| ArgError(format!("invalid burst off-dwell: {e}")))?;
-        }
-        b = b.arrivals(Some(spec));
-    }
-    // User-population flags: --live-users switches the population on; the
-    // others refine it and are meaningless without it.
-    let live_users = args.take_opt::<u64>("live-users")?;
-    let live_zipf = args.take_opt::<f64>("live-zipf")?;
-    let live_session = args.take_opt::<f64>("live-session")?;
-    let live_affinity = args.take_opt::<f64>("live-affinity")?;
-    if live_users.is_none_or(|n| n == 0)
-        && (live_zipf.is_some() || live_session.is_some() || live_affinity.is_some())
-    {
-        let given = if live_users.is_some() {
-            "--live-users 0 disables the population"
-        } else {
-            "no --live-users was given"
-        };
-        return Err(ArgError(format!(
-            "--live-zipf/--live-session/--live-affinity have no effect because \
-             {given}; set --live-users to a positive count to enable the user \
-             population, or drop the other live-user flags"
-        )));
-    }
-    if live_users.is_some_and(|n| n > 0) {
-        let defaults = UserSpec::default();
-        b = b.users(Some(UserSpec {
-            total_users: live_users.unwrap_or(0),
-            zipf_exponent: live_zipf.unwrap_or(defaults.zipf_exponent),
-            session_mean: live_session.unwrap_or(defaults.session_mean),
-            class_affinity: live_affinity.unwrap_or(defaults.class_affinity),
-        }));
-    }
-    if let Some(spec) = args.take("migrate") {
-        let parts: Vec<&str> = spec.split(',').collect();
-        if parts.len() != 3 {
-            return Err(ArgError(format!(
-                "--migrate expects `every,gain,growth`, got `{spec}`"
-            )));
-        }
-        let every = parts[0]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid migrate interval: {e}")))?;
-        let gain = parts[1]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid migrate gain: {e}")))?;
-        let growth = parts[2]
-            .parse()
-            .map_err(|e| ArgError(format!("invalid migrate growth: {e}")))?;
-        b = b.migration(Some(MigrationSpec {
-            check_every_reads: every,
-            min_gain: gain,
-            state_growth: growth,
-        }));
-    }
-    let mut params = b.build().map_err(|e| ArgError(e.to_string()))?;
-    if let Some(reads) = reads {
-        for class in &mut params.classes {
-            class.num_reads = reads;
-        }
-        params.validate().map_err(|e| ArgError(e.to_string()))?;
-    }
+    })?;
     Ok(params)
+}
+
+/// The system-flag sections of `dqa help`, one line per declared flag.
+pub fn flag_help() -> String {
+    let base = SystemParams::paper_base();
+    let mut out = String::new();
+    let mut heading = "";
+    for flag in FLAGS {
+        let layer = flag.field.split_once('.').map_or("", |(layer, _)| layer);
+        let section = SECTIONS
+            .iter()
+            .find(|(l, _)| *l == layer)
+            .map_or(SECTIONS[0].1, |(_, h)| h);
+        if section != heading {
+            let _ = write!(out, "\n{section}\n");
+            heading = section;
+        }
+        let usage = match format!("--{} {}", flag.name, flag.hint) {
+            long if long.len() > 28 => format!("{long}\n{:30}", ""),
+            usage => usage,
+        };
+        let _ = write!(out, "  {usage:<28} {}", flag.help);
+        let default = (flag.show)(&base);
+        let _ = match default.as_str() {
+            "" => writeln!(out),
+            _ => writeln!(out, " ({default})"),
+        };
+    }
+    out
 }
 
 /// Consumes the `--jobs` flag shared by every simulation subcommand.
@@ -449,6 +426,8 @@ pub fn take_jobs(args: &mut Args) -> Result<Option<usize>, ArgError> {
 
 #[cfg(test)]
 mod tests {
+    use dqa_core::params::{FaultSpec, RedundancySpec, UserSpec};
+
     use super::*;
 
     fn args(s: &[&str]) -> Args {
@@ -992,5 +971,85 @@ mod tests {
         assert_eq!(p.disk_choice, DiskChoice::ShortestQueue);
         let mut a = args(&["--disk-choice", "sideways"]);
         assert!(take_params(&mut a).is_err());
+    }
+
+    /// Every declared flag, split over a closed-model and an open-model
+    /// invocation (the live-service layers need open arrivals).
+    const CLOSED: &str = "--sites 6 --disks 3 --mpl 10 --think 300 --io-prob 0.4 --io-cpu 0.06 \
+        --cpu-cpu 0.9 --reads 15 --msg 1.5 --detailed-msg 0.00025,1000 --disk-choice rr \
+        --estimate-error 0.1 --status-period 50 --status-msg 0.5 --relations 24 --copies 3 \
+        --migrate 5,2,0.5 --update-frac 0.2 --prop-factor 0.4 --cpu-speeds 1,1,1,2,2,2 \
+        --fault-mtbf 2000 --fault-mttr 60 --msg-loss 0.01 --status-loss 0.05 --fault-retries 3 \
+        --fault-backoff 20 --partition-at 1000 --partition-for 500 --partition-groups 2 \
+        --deadline-mean 400 --deadline-floor 50 --deadline-retries 1 --deadline-backoff 8 \
+        --suspect-after 3 --suspect-probation 2 --admission-cap 15 --admission-queue 30 \
+        --admission-mode redirect --admission-retries 2 --admission-backoff 15 \
+        --redundancy 2 --redundancy-prob 0.5 --redundancy-load-cap 3 --redundancy-full-frac 0.5";
+    const OPEN: &str = "--open-rate 0.05 --live-diurnal 0.3 --live-period 4000 \
+        --live-flash 1000,500,2 --live-burst 2,150,1500 --live-users 100000 --live-zipf 1.1 \
+        --live-session 25 --live-affinity 0.9";
+
+    #[test]
+    fn every_system_flag_is_accepted() {
+        let words = |s: &'static str| s.split_whitespace().collect::<Vec<_>>();
+        let mut a = args(&words(CLOSED));
+        let p = take_params(&mut a).unwrap();
+        a.finish().unwrap();
+        assert!(p.faults.is_some() && p.deadlines.is_some() && p.suspicion.is_some());
+        assert!(p.admission.is_some() && p.redundancy.is_some() && p.migration.is_some());
+        let mut a = args(&words(OPEN));
+        let p = take_params(&mut a).unwrap();
+        a.finish().unwrap();
+        assert!(p.arrivals.is_some() && p.users.is_some());
+        // Together the two invocations give each declared flag once.
+        let mut given: Vec<&str> = [words(CLOSED), words(OPEN)].concat();
+        given.retain(|w| w.starts_with("--"));
+        let mut declared: Vec<String> = FLAGS.iter().map(|f| format!("--{}", f.name)).collect();
+        given.sort_unstable();
+        declared.sort_unstable();
+        assert_eq!(given, declared);
+        assert_eq!(FLAGS.len(), 53);
+    }
+
+    #[test]
+    fn help_lists_every_system_flag() {
+        let help = flag_help();
+        for flag in FLAGS {
+            assert!(
+                help.contains(&format!("--{} {}", flag.name, flag.hint)),
+                "--{}",
+                flag.name
+            );
+        }
+    }
+
+    #[test]
+    fn readme_flag_tables_name_declared_flags() {
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<&str> = readme
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `--"))
+            .filter_map(|rest| rest.split('`').next())
+            .collect();
+        assert!(rows.len() >= 20, "README flag tables not found");
+        for name in rows {
+            assert!(
+                FLAGS.iter().any(|f| f.name == name),
+                "README documents --{name}, which is not a system flag"
+            );
+        }
+    }
+
+    #[test]
+    fn validation_errors_name_the_flag() {
+        let mut a = args(&["--copies", "7"]);
+        let err = take_params(&mut a).unwrap_err().to_string();
+        assert!(
+            err.contains("at most num_sites") && err.contains("--copies"),
+            "{err}"
+        );
+        let mut a = args(&["--io-cpu", "0"]);
+        let err = take_params(&mut a).unwrap_err().to_string();
+        assert!(err.contains("--io-cpu, --cpu-cpu"), "{err}");
     }
 }

@@ -7,17 +7,11 @@
 //! dqa sweep   --flag think --values 150,250,350 --policy lert [system flags]
 //! dqa capacity --target 50 --policies local,lert [system flags]
 //! dqa mva     --cpu1 0.05 --cpu2 1.0 --load 1100/0011 --class 1
-//! dqa check   --sites 3 --queries 2 [--mutation M] [--window-barrier 1] [--emit-trace F] | --replay-trace F
 //! dqa help
 //! ```
 //!
-//! System flags (defaults = the paper's base configuration): `--sites`,
-//! `--disks`, `--mpl`, `--think`, `--io-prob`, `--io-cpu`, `--cpu-cpu`,
-//! `--msg`, `--reads`, `--disk-choice random|rr|jsq`, `--estimate-error`,
-//! `--status-period`, `--status-msg`, `--relations`, `--copies`,
-//! `--migrate every,gain,growth`, plus the fault-injection family
-//! `--fault-mtbf`, `--fault-mttr`, `--msg-loss`, `--status-loss`,
-//! `--fault-retries`, `--fault-backoff`.
+//! `dqa help` lists every system flag with its default; the flags are
+//! declared once, in `config.rs`.
 //!
 //! `--jobs N` (or the `DQA_JOBS` environment variable) sets how many
 //! worker threads replicated runs may use; results are byte-identical for
@@ -44,7 +38,6 @@ fn main() -> ExitCode {
         "sweep" => Args::parse(&raw).and_then(commands::sweep),
         "capacity" => Args::parse(&raw).and_then(commands::capacity),
         "mva" => Args::parse(&raw).and_then(commands::mva),
-        "check" => Args::parse(&raw).and_then(commands::check),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -72,35 +65,10 @@ USAGE:
   dqa sweep    --flag <name> --values a,b,c [--policy <P>] [system flags]
   dqa capacity [--target R] [--policies local,lert] [--max-mpl N] [system flags]
   dqa mva      [--cpu1 X] [--cpu2 Y] [--load 1100/0011] [--class 1|2]
-  dqa check    [--sites N] [--queries N] [--crashes N] [--mutation M]
-               [--window-barrier 1] [--emit-trace FILE] | --replay-trace FILE
   dqa help
 
 POLICIES: local, bnq, bnqrd, lert, random, lert-nonet, wlc, threshold:K
-
-SYSTEM FLAGS (defaults are the paper's base configuration):
-  --sites N        number of DB sites            (6)
-  --disks N        disks per site                (2)
-  --mpl N          terminals per site            (20)
-  --think T        mean think time               (350)
-  --io-prob P      I/O-bound class probability   (0.5)
-  --io-cpu T       I/O class CPU time per page   (0.05)
-  --cpu-cpu T      CPU class CPU time per page   (1.0)
-  --reads N        mean page reads per query     (20)
-  --msg T          remote-transfer message time  (1.0)
-  --detailed-msg t,p   Table-2/3 costing: msg_time per byte, page_size
-  --disk-choice D  random | rr | jsq             (random)
-  --estimate-error E   optimizer noise fraction  (0)
-  --status-period T    load-exchange period      (0 = oracle)
-  --status-msg T       status frame ring time    (0 = free)
-  --relations N        relations in the catalog  (12)
-  --copies K           copies per relation       (full replication)
-  --migrate E,G,S      migration: check interval, min gain, state growth
-  --open-rate L        open Poisson arrivals/site/unit (closed model)
-  --update-frac U      update fraction of the workload   (0)
-  --prop-factor F      apply work per replica, x reads   (0.5)
-  --cpu-speeds a,b,..  per-site CPU speed factors (homogeneous)
-
+{}
 EXECUTION:
   --jobs N         worker threads for replicated runs (default: DQA_JOBS
                    env var, else the detected CPU count; results are
@@ -112,28 +80,11 @@ EXECUTION:
                    workers. Byte-identical to the serial run; requires
                    --status-period > 0 and no deadline/admission layer
 
-FAULT FLAGS (any one enables deterministic fault injection):
-  --fault-mtbf T       mean time between site crashes    (0 = no crashes)
-  --fault-mttr T       mean site repair time             (50)
-  --msg-loss P         ring message loss probability     (0)
-  --status-loss P      status broadcast dropout prob.    (0)
-  --fault-retries N    retry budget per query            (5)
-  --fault-backoff T    base retry backoff delay          (10)
-
-EXTENSION FLAGS (full tables in README.md):
-  --deadline-* --suspect-* --partition-* --admission-*
-                   per-query deadlines, failure suspicion, injected
-                   partitions, per-site admission control
-  --live-*         time-varying arrival kernels and a sharded
-                   million-user population
-  --redundancy N   hedged replicate-to-n reads with first-win
-                   cancellation; refinements --redundancy-prob,
-                   --redundancy-load-cap, --redundancy-full-frac
-
 EXAMPLES:
   dqa compare --think 250
   dqa run --policy lert --copies 2 --relations 24 --sites 8
   dqa sweep --flag msg --values 0.5,1,2,4 --policy lert
-  dqa mva --load 2100/0011 --class 1"
+  dqa mva --load 2100/0011 --class 1",
+        config::flag_help()
     );
 }

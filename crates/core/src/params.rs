@@ -682,6 +682,15 @@ pub enum ParamsError {
         /// The actual sum.
         sum: f64,
     },
+    /// A field broke a range or count rule.
+    OutOfRange {
+        /// Field name.
+        field: &'static str,
+        /// The rule, as in "must be {rule}".
+        rule: &'static str,
+        /// Offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ParamsError {
@@ -696,6 +705,9 @@ impl fmt::Display for ParamsError {
             ParamsError::Missing { what } => write!(f, "system needs at least one {what}"),
             ParamsError::BadClassProbabilities { sum } => {
                 write!(f, "class probabilities must sum to 1, got {sum}")
+            }
+            ParamsError::OutOfRange { field, rule, value } => {
+                write!(f, "`{field}` must be {rule}, got {value}")
             }
         }
     }
@@ -887,7 +899,8 @@ impl SystemParams {
         }
     }
 
-    /// Checks every constraint the simulator depends on.
+    /// Checks every constraint the simulator depends on. Errors name a
+    /// field by its path in `SystemParams` (`faults.mtbf`).
     ///
     /// # Errors
     ///
@@ -900,6 +913,13 @@ impl SystemParams {
                 Err(ParamsError::NonPositive { field, value })
             }
         }
+        fn non_negative(field: &'static str, value: f64) -> Result<(), ParamsError> {
+            if value.is_finite() && value >= 0.0 {
+                Ok(())
+            } else {
+                Err(ParamsError::NonPositive { field, value })
+            }
+        }
         fn fraction(field: &'static str, value: f64) -> Result<(), ParamsError> {
             if value.is_finite() && (0.0..=1.0).contains(&value) {
                 Ok(())
@@ -907,145 +927,92 @@ impl SystemParams {
                 Err(ParamsError::BadFraction { field, value })
             }
         }
+        fn need(present: bool, what: &'static str) -> Result<(), ParamsError> {
+            if present {
+                Ok(())
+            } else {
+                Err(ParamsError::Missing { what })
+            }
+        }
+        fn in_range(
+            ok: bool,
+            field: &'static str,
+            rule: &'static str,
+            value: f64,
+        ) -> Result<(), ParamsError> {
+            if ok {
+                Ok(())
+            } else {
+                Err(ParamsError::OutOfRange { field, rule, value })
+            }
+        }
 
-        if self.num_sites == 0 {
-            return Err(ParamsError::Missing { what: "site" });
-        }
-        if self.num_disks == 0 {
-            return Err(ParamsError::Missing { what: "disk" });
-        }
-        if self.mpl == 0 {
-            return Err(ParamsError::Missing { what: "terminal" });
-        }
-        if self.classes.is_empty() {
-            return Err(ParamsError::Missing {
-                what: "query class",
-            });
-        }
+        need(self.num_sites > 0, "site")?;
+        need(self.num_disks > 0, "disk")?;
+        need(self.mpl > 0, "terminal")?;
+        need(!self.classes.is_empty(), "query class")?;
         positive("disk_time", self.disk_time)?;
         fraction("disk_time_dev", self.disk_time_dev)?;
         positive("think_time", self.think_time)?;
         for class in &self.classes {
-            positive("page_cpu_time", class.page_cpu_time)?;
-            positive("num_reads", class.num_reads)?;
-            fraction("class probability", class.probability)?;
-            positive("query_size", class.query_size)?;
-            if !class.result_fraction.is_finite() || class.result_fraction < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "result_fraction",
-                    value: class.result_fraction,
-                });
-            }
+            positive("classes.page_cpu_time", class.page_cpu_time)?;
+            positive("classes.num_reads", class.num_reads)?;
+            fraction("classes.probability", class.probability)?;
+            positive("classes.query_size", class.query_size)?;
+            non_negative("classes.result_fraction", class.result_fraction)?;
         }
         if let MessageCosting::Detailed {
             msg_time,
             page_size,
         } = self.message_costing
         {
-            positive("msg_time", msg_time)?;
-            positive("page_size", page_size)?;
+            positive("message_costing.msg_time", msg_time)?;
+            positive("message_costing.page_size", page_size)?;
         }
         let sum: f64 = self.classes.iter().map(|c| c.probability).sum();
         if (sum - 1.0).abs() > 1e-9 {
             return Err(ParamsError::BadClassProbabilities { sum });
         }
-        if !self.msg_length.is_finite() || self.msg_length < 0.0 {
-            return Err(ParamsError::NonPositive {
-                field: "msg_length",
-                value: self.msg_length,
-            });
-        }
+        non_negative("msg_length", self.msg_length)?;
         fraction("estimate_error", self.estimate_error)?;
-        if !self.status_period.is_finite() || self.status_period < 0.0 {
-            return Err(ParamsError::NonPositive {
-                field: "status_period",
-                value: self.status_period,
-            });
-        }
-        if !self.status_msg_length.is_finite() || self.status_msg_length < 0.0 {
-            return Err(ParamsError::NonPositive {
-                field: "status_msg_length",
-                value: self.status_msg_length,
-            });
-        }
-        if self.num_relations == 0 {
-            return Err(ParamsError::Missing { what: "relation" });
-        }
+        non_negative("status_period", self.status_period)?;
+        non_negative("status_msg_length", self.status_msg_length)?;
+        need(self.num_relations > 0, "relation")?;
         if let Some(copies) = self.copies {
-            if copies == 0 {
-                return Err(ParamsError::Missing {
-                    what: "relation copy",
-                });
-            }
-            if copies as usize > self.num_sites {
-                return Err(ParamsError::NonPositive {
-                    field: "copies (exceeds num_sites)",
-                    value: f64::from(copies),
-                });
-            }
+            need(copies > 0, "relation copy")?;
+            let fits = copies as usize <= self.num_sites;
+            in_range(fits, "copies", "at most num_sites", f64::from(copies))?;
         }
+        let open = matches!(self.workload, Workload::Open { .. });
         if let Workload::Open { arrival_rate } = self.workload {
-            positive("arrival_rate", arrival_rate)?;
+            positive("workload.arrival_rate", arrival_rate)?;
         }
         fraction("update_fraction", self.update_fraction)?;
-        if !self.propagation_factor.is_finite() || self.propagation_factor < 0.0 {
-            return Err(ParamsError::NonPositive {
-                field: "propagation_factor",
-                value: self.propagation_factor,
-            });
-        }
+        non_negative("propagation_factor", self.propagation_factor)?;
         if let Some(speeds) = &self.cpu_speeds {
-            if speeds.len() != self.num_sites {
-                return Err(ParamsError::Missing {
-                    what: "CPU speed per site",
-                });
-            }
+            let len = speeds.len();
+            let rule = "equal to num_sites";
+            in_range(len == self.num_sites, "cpu_speeds length", rule, len as f64)?;
             for &s in speeds {
-                positive("cpu_speeds entry", s)?;
+                positive("cpu_speeds", s)?;
             }
         }
         if let Some(f) = &self.faults {
-            if !f.mtbf.is_finite() || f.mtbf < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "fault mtbf",
-                    value: f.mtbf,
-                });
-            }
+            non_negative("faults.mtbf", f.mtbf)?;
             // MTTR of zero means instant repair, which is legal (the
             // crash still drops the site's resident queries).
-            if !f.mttr.is_finite() || f.mttr < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "fault mttr",
-                    value: f.mttr,
-                });
-            }
-            fraction("fault msg_loss", f.msg_loss)?;
-            fraction("fault status_loss", f.status_loss)?;
-            positive("fault backoff_base", f.backoff_base)?;
-            if !f.partition_at.is_finite() || f.partition_at < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "partition_at",
-                    value: f.partition_at,
-                });
-            }
-            if !f.partition_for.is_finite() || f.partition_for < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "partition_for",
-                    value: f.partition_for,
-                });
-            }
-            if f.partition_for > 0.0 && f.partition_groups < 2 {
-                return Err(ParamsError::NonPositive {
-                    field: "partition_groups (a partition needs at least 2 groups)",
-                    value: f64::from(f.partition_groups),
-                });
-            }
-            if f.partition_groups as usize > self.num_sites {
-                return Err(ParamsError::NonPositive {
-                    field: "partition_groups (exceeds num_sites)",
-                    value: f64::from(f.partition_groups),
-                });
-            }
+            non_negative("faults.mttr", f.mttr)?;
+            fraction("faults.msg_loss", f.msg_loss)?;
+            fraction("faults.status_loss", f.status_loss)?;
+            positive("faults.backoff_base", f.backoff_base)?;
+            non_negative("faults.partition_at", f.partition_at)?;
+            non_negative("faults.partition_for", f.partition_for)?;
+            let groups = f64::from(f.partition_groups);
+            let field = "faults.partition_groups";
+            let rule = "at least 2 while partition_for > 0";
+            in_range(f.partition_for <= 0.0 || groups >= 2.0, field, rule, groups)?;
+            let fits = f.partition_groups as usize <= self.num_sites;
+            in_range(fits, field, "at most num_sites", groups)?;
         }
         if !self.script.is_empty() {
             let faults = self.faults.as_ref().ok_or(ParamsError::Missing {
@@ -1055,169 +1022,92 @@ impl SystemParams {
             // A script is a *deterministic* fault environment; mixing it
             // with the stochastic crash process would let a scripted
             // repair collide with a pending stochastic one.
-            if faults.mtbf > 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "fault mtbf (must be 0 with an event script)",
-                    value: faults.mtbf,
-                });
-            }
+            let rule = "0 with an event script";
+            in_range(faults.mtbf <= 0.0, "faults.mtbf", rule, faults.mtbf)?;
             for entry in &self.script {
-                if !entry.at.is_finite() || entry.at < 0.0 {
-                    return Err(ParamsError::NonPositive {
-                        field: "script entry time",
-                        value: entry.at,
-                    });
-                }
+                non_negative("script entry time", entry.at)?;
                 match entry.action {
                     ScriptAction::SiteDown(s) | ScriptAction::SiteUp(s) => {
-                        if s >= self.num_sites {
-                            return Err(ParamsError::NonPositive {
-                                field: "script site index (exceeds num_sites)",
-                                value: s as f64,
-                            });
-                        }
+                        let fits = s < self.num_sites;
+                        in_range(fits, "script site index", "below num_sites", s as f64)?;
                     }
                     ScriptAction::PartitionStart | ScriptAction::PartitionHeal => {
-                        if faults.partition_groups < 2 {
-                            return Err(ParamsError::NonPositive {
-                                field: "partition_groups (a scripted partition \
-                                        needs at least 2 groups)",
-                                value: f64::from(faults.partition_groups),
-                            });
-                        }
+                        let groups = f64::from(faults.partition_groups);
+                        let rule = "at least 2 for a scripted partition";
+                        in_range(groups >= 2.0, "faults.partition_groups", rule, groups)?;
                     }
                 }
             }
         }
         if let Some(d) = &self.deadlines {
-            if !d.mean.is_finite() || d.mean < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "deadline mean",
-                    value: d.mean,
-                });
-            }
-            if !d.floor.is_finite() || d.floor < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "deadline floor",
-                    value: d.floor,
-                });
-            }
-            positive("deadline backoff_base", d.backoff_base)?;
+            non_negative("deadlines.mean", d.mean)?;
+            non_negative("deadlines.floor", d.floor)?;
+            positive("deadlines.backoff_base", d.backoff_base)?;
         }
         if let Some(s) = &self.suspicion {
-            if s.threshold == 0 {
-                return Err(ParamsError::Missing {
-                    what: "suspicion threshold period",
-                });
-            }
-            if s.probation == 0 {
-                return Err(ParamsError::Missing {
-                    what: "suspicion probation broadcast",
-                });
-            }
-            if self.status_period <= 0.0 || self.status_msg_length <= 0.0 {
-                return Err(ParamsError::Missing {
-                    what: "costed status broadcast for the suspicion detector \
-                           (status_period > 0 and status_msg_length > 0)",
-                });
-            }
+            need(s.threshold > 0, "suspicion threshold period")?;
+            need(s.probation > 0, "suspicion probation broadcast")?;
+            need(
+                self.status_period > 0.0 && self.status_msg_length > 0.0,
+                "costed status broadcast for the suspicion detector \
+                 (status_period > 0 and status_msg_length > 0)",
+            )?;
         }
         if let Some(a) = &self.admission {
-            if a.mpl_cap == Some(0) {
-                return Err(ParamsError::Missing {
-                    what: "admitted query under mpl_cap (cap must be >= 1)",
-                });
+            for (field, limit) in [
+                ("admission.mpl_cap", a.mpl_cap),
+                ("admission.queue_limit", a.queue_limit),
+            ] {
+                if let Some(limit) = limit {
+                    in_range(limit >= 1, field, "at least 1", f64::from(limit))?;
+                }
             }
-            if a.queue_limit == Some(0) {
-                return Err(ParamsError::Missing {
-                    what: "admitted query under queue_limit (limit must be >= 1)",
-                });
-            }
-            positive("admission backoff_base", a.backoff_base)?;
+            positive("admission.backoff_base", a.backoff_base)?;
         }
         if let Some(r) = &self.redundancy {
-            fraction("redundancy hedge_prob", r.hedge_prob)?;
-            fraction("redundancy full_threshold", r.full_threshold)?;
-            if !r.load_threshold.is_finite() || r.load_threshold < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "redundancy load_threshold",
-                    value: r.load_threshold,
-                });
-            }
+            fraction("redundancy.hedge_prob", r.hedge_prob)?;
+            fraction("redundancy.full_threshold", r.full_threshold)?;
+            non_negative("redundancy.load_threshold", r.load_threshold)?;
         }
         if let Some(a) = &self.arrivals {
-            if a.is_active() && !matches!(self.workload, Workload::Open { .. }) {
-                return Err(ParamsError::Missing {
-                    what: "open workload for arrival modulation (ArrivalSpec \
-                           shapes Workload::Open's base arrival rate)",
-                });
-            }
-            fraction("diurnal_amplitude", a.diurnal_amplitude)?;
+            need(
+                open || !a.is_active(),
+                "open workload for arrival modulation (ArrivalSpec \
+                 shapes Workload::Open's base arrival rate)",
+            )?;
+            fraction("arrivals.diurnal_amplitude", a.diurnal_amplitude)?;
             if a.diurnal_amplitude > 0.0 {
-                positive("diurnal_period", a.diurnal_period)?;
+                positive("arrivals.diurnal_period", a.diurnal_period)?;
             }
-            if !a.flash_at.is_finite() || a.flash_at < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "flash_at",
-                    value: a.flash_at,
-                });
-            }
-            if !a.flash_for.is_finite() || a.flash_for < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "flash_for",
-                    value: a.flash_for,
-                });
-            }
+            non_negative("arrivals.flash_at", a.flash_at)?;
+            non_negative("arrivals.flash_for", a.flash_for)?;
             if a.flash_for > 0.0 {
-                positive("flash_multiplier", a.flash_multiplier)?;
+                positive("arrivals.flash_multiplier", a.flash_multiplier)?;
             }
-            if !a.burst_multiplier.is_finite() || a.burst_multiplier < 1.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "burst_multiplier (must be >= 1)",
-                    value: a.burst_multiplier,
-                });
-            }
+            let (field, burst) = ("arrivals.burst_multiplier", a.burst_multiplier);
+            let finite = burst.is_finite();
+            in_range(finite && burst >= 1.0, field, "at least 1", burst)?;
             if a.has_burst() {
-                positive("burst_on_mean", a.burst_on_mean)?;
-                positive("burst_off_mean", a.burst_off_mean)?;
+                positive("arrivals.burst_on_mean", a.burst_on_mean)?;
+                positive("arrivals.burst_off_mean", a.burst_off_mean)?;
             }
         }
         if let Some(u) = &self.users {
             if u.is_active() {
-                if !matches!(self.workload, Workload::Open { .. }) {
-                    return Err(ParamsError::Missing {
-                        what: "open workload for the user population (users \
-                               arrive with open queries, not closed terminals)",
-                    });
-                }
-                if !u.zipf_exponent.is_finite() || u.zipf_exponent < 0.0 {
-                    return Err(ParamsError::NonPositive {
-                        field: "zipf_exponent",
-                        value: u.zipf_exponent,
-                    });
-                }
-                positive("session_mean", u.session_mean)?;
-                fraction("class_affinity", u.class_affinity)?;
+                need(
+                    open,
+                    "open workload for the user population (users \
+                     arrive with open queries, not closed terminals)",
+                )?;
+                non_negative("users.zipf_exponent", u.zipf_exponent)?;
+                positive("users.session_mean", u.session_mean)?;
+                fraction("users.class_affinity", u.class_affinity)?;
             }
         }
         if let Some(m) = &self.migration {
-            if m.check_every_reads == 0 {
-                return Err(ParamsError::Missing {
-                    what: "migration check interval",
-                });
-            }
-            if !m.min_gain.is_finite() || m.min_gain < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "migration min_gain",
-                    value: m.min_gain,
-                });
-            }
-            if !m.state_growth.is_finite() || m.state_growth < 0.0 {
-                return Err(ParamsError::NonPositive {
-                    field: "migration state_growth",
-                    value: m.state_growth,
-                });
-            }
+            need(m.check_every_reads > 0, "migration check interval")?;
+            non_negative("migration.min_gain", m.min_gain)?;
+            non_negative("migration.state_growth", m.state_growth)?;
         }
         Ok(())
     }
@@ -2088,6 +1978,18 @@ mod tests {
         let sizes: Vec<u64> = (0..6).map(|s| spec.shard_size(s, 6)).collect();
         let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
         assert!(max - min <= 1, "uneven shards: {sizes:?}");
+    }
+
+    #[test]
+    fn range_rules_state_the_rule_and_value() {
+        let mut p = SystemParams::paper_base();
+        p.copies = Some(7);
+        let err = p.validate().unwrap_err().to_string();
+        assert_eq!(err, "`copies` must be at most num_sites, got 7");
+        let mut p = SystemParams::paper_base();
+        p.cpu_speeds = Some(vec![1.0, 2.0]);
+        let err = p.validate().unwrap_err().to_string();
+        assert_eq!(err, "`cpu_speeds length` must be equal to num_sites, got 2");
     }
 
     #[test]
